@@ -5,9 +5,12 @@ which keeps sub-field extraction exact for any row width — but forces every
 search to re-decode every slot of the fetched row through big-int bit
 slicing.  A :class:`DecodedMirror` maintains the *decoded* view of the
 array(s) as dense NumPy matrices — per logical bucket: valid bits, stored
-key values, stored don't-care masks, the auxiliary reach field, and the
-decoded :class:`~repro.core.record.Record` objects — so steady-state batch
-lookups never touch Python-int bit extraction.
+key values, stored don't-care masks, stored data words and the auxiliary
+reach field — so steady-state batch lookups never touch Python-int bit
+extraction.  The decoded :class:`~repro.core.record.Record` objects are a
+lazily built cache over those matrices (:class:`RecordCache`): a slot's
+``Record`` is constructed the first time someone reads it and kept until
+its row is re-decoded.
 
 The mirror stays coherent through *dirty-row invalidation*: it subscribes to
 :meth:`~repro.memory.array.MemoryArray.subscribe_invalidation`, and every
@@ -18,9 +21,11 @@ not once per lookup.  The re-decode itself is vectorized: the dirty row
 values are serialized to bytes once, bit-unpacked as one matrix, and every
 slot field (valid, key value, don't-care mask, data) is sliced out as a
 column and re-packed through the same word codecs the bulk-build pipeline
-uses — only the per-valid-slot ``Record`` construction stays in Python.
-Subclasses hook :meth:`DecodedMirror._buckets_updated` to maintain derived
-layouts (the bit-plane transpose) from the same incremental dirty set.
+uses.  A sync then only marks the dirty rows' cached ``Record`` objects as
+not built, so it costs NumPy work alone; reads that gather numeric columns
+(``data_values()``) never build a ``Record`` at all.  Subclasses hook
+:meth:`DecodedMirror._buckets_updated` to maintain derived layouts (the
+bit-plane transpose) from the same incremental dirty set.
 
 Keys wider than 64 bits (e.g. the trigram study's 128-bit keys) are held as
 little-endian 64-bit *word* columns; the ternary comparison is an exact
@@ -203,6 +208,94 @@ def _words_to_int(words: Sequence[int]) -> int:
     return value
 
 
+class RecordCache:
+    """The mirror's ``(buckets, slots)`` matrix of ``Record`` objects, built
+    on first read.
+
+    Indexes like the object matrix it stands for: ``cache[b, s]`` yields one
+    ``Record`` (``None`` in an invalid slot), fancy and boolean indexes yield
+    object arrays, and ``np.asarray(cache)`` the whole matrix.  A slot's
+    ``Record`` is constructed from the mirror's numeric columns (``valid``,
+    ``key_words``, ``mask_words``, ``data_words``) the first time a read
+    reaches it, then kept until :meth:`invalidate` drops it.  A boolean
+    *built* mask records which slots hold their object, so a read never
+    compares object elements against ``None`` (which would call the
+    dataclass ``__eq__`` once per element).
+
+    Invariant: a slot that is not built holds ``None``.
+    """
+
+    def __init__(self, mirror: "DecodedMirror") -> None:
+        shape = (mirror.buckets, mirror.slots)
+        self._mirror = mirror
+        self._objects = np.full(shape, None, dtype=object)
+        self._built = np.zeros(shape, dtype=bool)
+        self._flat_ids: Optional[np.ndarray] = None
+
+    def __getitem__(self, index):
+        built = self._built[index]
+        if not built.all():
+            if self._flat_ids is None:
+                self._flat_ids = np.arange(self._built.size).reshape(
+                    self._built.shape
+                )
+            missing = np.asarray(self._flat_ids[index])[~np.asarray(built)]
+            self._build(missing)
+        return self._objects[index]
+
+    def __setitem__(self, index, value) -> None:
+        self._objects[index] = value
+        self._built[index] = True
+
+    def __array__(self, dtype=None, copy=None):
+        objects = self[...]  # builds every record not yet built
+        if copy or (dtype is not None and np.dtype(dtype) != objects.dtype):
+            return objects.astype(dtype or objects.dtype)
+        return objects
+
+    def invalidate(self, buckets, columns) -> None:
+        """Drop the cached objects of re-decoded slots (built again on the
+        next read that reaches them)."""
+        self._objects[buckets, columns] = None
+        self._built[buckets, columns] = False
+
+    def _build(self, flat_ids: np.ndarray) -> None:
+        """Construct and cache the ``Record`` of every listed slot."""
+        from repro.core.key import TernaryKey
+        from repro.core.record import Record
+
+        mirror = self._mirror
+        valid_ids = flat_ids[mirror.valid.reshape(-1)[flat_ids]]
+        if valid_ids.size:  # invalid slots already hold None
+            word_count = mirror.word_count
+            keys = mirror.key_words.reshape(-1, word_count)[valid_ids].tolist()
+            masks = mirror.mask_words.reshape(-1, word_count)[valid_ids].tolist()
+            data_word_count = mirror.data_word_count
+            if data_word_count:
+                data_rows = mirror.data_words.reshape(-1, data_word_count)
+                datas = [
+                    _words_to_int(words)
+                    for words in data_rows[valid_ids].tolist()
+                ]
+            else:
+                datas = [0] * len(keys)
+            width = mirror.key_bits
+            built = np.empty(len(keys), dtype=object)
+            for i, (key, mask, data) in enumerate(zip(keys, masks, datas)):
+                built[i] = Record(
+                    key=TernaryKey(
+                        value=_words_to_int(key),
+                        mask=_words_to_int(mask),
+                        width=width,
+                    ),
+                    data=data,
+                )
+            self._objects.reshape(-1)[valid_ids] = built
+        # Flag the slots only once their objects are in place: a reader on
+        # another thread that sees the flag must also see the object.
+        self._built.reshape(-1)[flat_ids] = True
+
+
 class DecodedMirror:
     """Incrementally-maintained decoded view of CA-RAM array content.
 
@@ -220,8 +313,10 @@ class DecodedMirror:
         mask_words: ``(buckets, slots, words)`` uint64 — stored don't-care
             masks (zero for binary records).
         reach: ``(buckets,)`` int64 — the auxiliary spill-reach field.
-        records: ``(buckets, slots)`` object — decoded ``Record`` instances
-            (``None`` in invalid slots), used for winner extraction.
+        records: ``(buckets, slots)`` :class:`RecordCache` — decoded
+            ``Record`` instances (``None`` in invalid slots), used for
+            winner extraction; each is built from the numeric columns on
+            first read, so a sync never constructs one.
         data_words: ``(buckets, slots, data_word_count)`` uint64 — stored
             data payloads as little-endian words (zero columns when the
             record format carries no data), the numeric source the columnar
@@ -267,10 +362,10 @@ class DecodedMirror:
         self.key_words = np.zeros(shape, dtype=np.uint64)
         self.mask_words = np.zeros(shape, dtype=np.uint64)
         self.reach = np.zeros(self.buckets, dtype=np.int64)
-        self.records = np.empty((self.buckets, self.slots), dtype=object)
         self.data_words = np.zeros(
             (self.buckets, self.slots, self._data_word_count), dtype=np.uint64
         )
+        self.records = RecordCache(self)
         self.version = 0
         self.width_words = np.array(
             int_to_words(mask_of(key_bits), self._word_count), dtype=np.uint64
@@ -383,11 +478,10 @@ class DecodedMirror:
         One bytes round-trip plus ``unpackbits`` turns the dirty rows into a
         bit matrix; every slot field is then a column slice re-packed through
         :func:`bits_to_words` — the decode direction of the bulk-build
-        codecs.  Semantically identical to per-slot ``layout.read_slot``.
+        codecs.  Semantically identical to per-slot ``layout.read_slot``;
+        the re-decoded slots' ``Record`` objects are only invalidated, and
+        built again from these columns when first read.
         """
-        from repro.core.key import TernaryKey
-        from repro.core.record import Record
-
         layout = self._layout
         fmt = layout.record_format
         n = len(row_values)
@@ -456,24 +550,8 @@ class DecodedMirror:
             ).reshape(n, slots, -1)
             data_matrix[~valid] = 0
             self.data_words[buckets, columns] = data_matrix
-        else:
-            data_matrix = None
 
-        recs = np.full((n, slots), None, dtype=object)
-        positions = np.argwhere(valid).tolist()
-        if positions:
-            key_list = key_matrix.tolist()
-            mask_list = mask_matrix.tolist()
-            data_list = data_matrix.tolist() if data_matrix is not None else None
-            for i, j in positions:
-                value = _words_to_int(key_list[i][j])
-                mask = _words_to_int(mask_list[i][j])
-                data = _words_to_int(data_list[i][j]) if data_list else 0
-                recs[i][j] = Record(
-                    key=TernaryKey(value=value, mask=mask, width=key_bits),
-                    data=data,
-                )
-        self.records[buckets, columns] = recs
+        self.records.invalidate(buckets, columns)
 
     def _buckets_updated(self, bucket_ids: np.ndarray) -> None:
         """Hook: the listed logical buckets were just re-decoded.
@@ -504,8 +582,11 @@ class DecodedMirror:
         to serialize into the arrays; installing it here skips the O(rows x
         slots) big-int re-decode the invalidation listeners would otherwise
         schedule.  All dirty flags are cleared — the caller vouches that the
-        image matches the array content it just loaded.
+        image matches the array content it just loaded.  The ``records``
+        objects are handed to the cache as built, so a bulk-loaded table
+        never constructs them twice.
         """
+        records = np.asarray(records, dtype=object)
         expected = (self.buckets, self.slots)
         if valid.shape != expected or records.shape != expected:
             raise ConfigurationError(
@@ -643,12 +724,15 @@ class DecodedMirror:
     def iter_valid(self):
         """Yield ``(bucket, slot, record)`` for every valid slot, row-major
         (bucket ascending, slot ascending — the scalar iteration order)."""
-        for bucket, slot in np.argwhere(self.valid):
-            yield int(bucket), int(slot), self.records[bucket, slot]
+        valid = self.valid
+        records = self.records[valid].tolist()
+        for (bucket, slot), record in zip(np.argwhere(valid).tolist(), records):
+            yield bucket, slot, record
 
 
 __all__ = [
     "DecodedMirror",
+    "RecordCache",
     "KEY_WORD_BITS",
     "words_for_bits",
     "int_to_words",
