@@ -5,9 +5,13 @@ Public surface:
 * :class:`~repro.core.key.TernaryKey` / :class:`~repro.core.record.Record` /
   :class:`~repro.core.record.RecordFormat` — searchable data items.
 * :class:`~repro.core.config.SliceConfig` — geometry of one slice.
-* :class:`~repro.core.slice.CARAMSlice` — search/insert/delete plus RAM mode.
-* :class:`~repro.core.subsystem.CARAMSubsystem` — slice groups (horizontal /
-  vertical arrangements), overflow areas, victim TCAM, request ports.
+* :class:`~repro.core.subsystem.SliceGroup` — one database over ``k``
+  slices (horizontal / vertical arrangements): search/insert/delete, batch
+  lookup, bulk load, scan/update, reliability.
+* :class:`~repro.core.slice.CARAMSlice` — the one-slice vertical group,
+  plus RAM mode.
+* :class:`~repro.core.subsystem.CARAMSubsystem` — named groups, overflow
+  areas, victim TCAM, request ports.
 """
 
 from repro.core.batch import ENGINE_KINDS, BatchSearchEngine

@@ -1,9 +1,11 @@
 """The vectorized batch-lookup engine behind ``search_batch``.
 
-One :class:`BatchSearchEngine` serves both :class:`~repro.core.slice.CARAMSlice`
-and :class:`~repro.core.subsystem.SliceGroup`: the two differ only in how
-logical buckets map to physical rows, and that difference is entirely
-absorbed by the :class:`~repro.memory.mirror.DecodedMirror` they hand in.
+One :class:`BatchSearchEngine` serves every
+:class:`~repro.core.subsystem.SliceGroup` (a
+:class:`~repro.core.slice.CARAMSlice` is the one-slice group): arrangements
+differ only in how logical buckets map to physical rows, and that
+difference is entirely absorbed by the
+:class:`~repro.memory.mirror.DecodedMirror` the group hands in.
 
 A batch lookup proceeds in three vectorized stages:
 

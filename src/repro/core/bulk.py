@@ -1,4 +1,4 @@
-"""Vectorized bulk-build pipeline shared by CARAMSlice and SliceGroup.
+"""Vectorized bulk-build pipeline behind ``SliceGroup.bulk_load``.
 
 Sequential construction replays the hardware insert path once per record:
 hash, walk the probe sequence, unpack and repack a whole big-int row.  For
@@ -329,7 +329,7 @@ def build_bulk_image(
             of the logical bucket space — a single slice is the vertical
             case with ``slice_count=1``.  Horizontal groups carry the aux
             (reach) field in slice 0's rows only, matching the scalar
-            ``_write_occupants`` convention.
+            in-place insert path.
         tracer: optional structured-event tracer (the ``bulk_plan`` event).
     """
     if rows_per_slice is None:

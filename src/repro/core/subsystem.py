@@ -27,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -45,21 +47,19 @@ from repro.core.engines import (
 from repro.core.config import Arrangement, SliceConfig
 from repro.core.index import IndexGenerator, KeyInput
 from repro.core.key import TernaryKey
-from repro.core.match import MatchProcessor
+from repro.core.match import MatchProcessor, MatchResult
 from repro.core.probing import LinearProbing, ProbingPolicy
 from repro.core.record import Record
-from repro.core.slice import SearchResult
+from repro.core.results import SearchResult
 from repro.core.stats import SearchStats
 from repro.hashing.base import HashFunction
 from repro.memory.array import MemoryArray
 from repro.telemetry.profiling import profile
 
-from typing import Callable
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.batch import BatchSearchEngine
     from repro.core.bulk import BulkPlan
     from repro.core.results import BatchResultSet
+    from repro.memory.array import ArrayStats
     from repro.memory.mirror import DecodedMirror
     from repro.reliability.faults import FaultConfig
     from repro.reliability.manager import ReliabilityManager, ReliabilityPolicy
@@ -77,6 +77,15 @@ class OverflowStore(Protocol):
 
 class SliceGroup:
     """One database built from ``slice_count`` identical slices.
+
+    The one CAM-mode implementation: a single slice
+    (:class:`~repro.core.slice.CARAMSlice`) is the one-slice vertical group.
+
+    Writes go in place, one physical row at a time, as on the device: an
+    insert fills the first free logical slot of its bucket, a delete clears
+    the record's valid bit, and a reach raise rewrites the aux field of the
+    bucket's first row.  Only a ``slot_priority`` insert re-packs its bucket
+    (in sorted order).
 
     Args:
         config: per-slice geometry.
@@ -162,13 +171,18 @@ class SliceGroup:
         policy: Optional["ReliabilityPolicy"] = None,
         faults: Optional["FaultConfig"] = None,
     ) -> "ReliabilityManager":
-        """Protect every physical array of this group (see
-        :meth:`repro.core.slice.CARAMSlice.enable_reliability`).
+        """Protect every physical array with the reliability layer.
 
-        Each array gets its own guard and an independently-salted fault
-        stream; quarantine operates at logical-bucket granularity, so a
-        horizontal group spares all constituent rows of a failing bucket
-        together.
+        Installs a per-row ECC guard on each array (checkwords encoded over
+        the current content, so enable *after* loading the database), an
+        optional, independently-salted fault injector per array, and the
+        quarantine/victim/retry machinery.  Quarantine operates at
+        logical-bucket granularity, so a horizontal group spares all
+        constituent rows of a failing bucket together.  Scalar and batch
+        lookups then satisfy the detect-or-correct contract: every injected
+        fault is corrected, retried around, or surfaced as a
+        :class:`~repro.errors.CorruptionError` — never a silent wrong
+        answer.
         """
         from repro.reliability.manager import (
             ReliabilityManager,
@@ -179,7 +193,7 @@ class SliceGroup:
             self.disable_reliability()
         if policy is None:
             policy = ReliabilityPolicy()
-        self._reliability = ReliabilityManager.for_group(self, policy, faults)
+        self._reliability = ReliabilityManager(self, policy, faults)
         return self._reliability
 
     def disable_reliability(self) -> None:
@@ -199,7 +213,8 @@ class SliceGroup:
 
     @tracer.setter
     def tracer(self, tracer: Optional["Tracer"]) -> None:
-        """Attach one tracer to the stats and every physical array."""
+        """Attach (or detach, with None) one tracer to the search stats and
+        every physical array; the batch engine emits through the stats."""
         self.stats.tracer = tracer
         for array in self._arrays:
             array.tracer = tracer
@@ -207,22 +222,31 @@ class SliceGroup:
     def enable_latency_tracking(
         self, relative_error: Optional[float] = None
     ) -> None:
-        """Record per-chunk lookup latency into the group's search stats
+        """Record per-chunk lookup latency into the search stats' sketch
         (parallel workers inherit the setting per batch)."""
         self.stats.enable_latency_tracking(relative_error)
 
     def disable_latency_tracking(self) -> None:
         self.stats.disable_latency_tracking()
 
+    def _memory_mounts(self) -> List[Tuple[str, "ArrayStats"]]:
+        """``(suffix, counters)`` of every physical array's telemetry mount."""
+        return [
+            (f"slice{i}.memory", array.stats)
+            for i, array in enumerate(self._arrays)
+        ]
+
     def register_telemetry(
         self, registry: "MetricsRegistry", prefix: Optional[str] = None
     ) -> None:
         """Publish this group's live counters into a metrics registry.
 
-        Registers the search stats, each slice's physical array counters,
-        and an occupancy/topology summary under ``{prefix}.*`` (the prefix
+        Registers the search stats, each physical array's counters, and an
+        occupancy/topology summary under ``{prefix}.*`` (the prefix
         defaults to the group name).  Providers are read lazily at
         ``snapshot()`` time, so registration costs nothing per lookup.
+        With a parallel engine, per-shard search stats mount as
+        ``{prefix}.shard{i}.search`` — the rollup's worker children.
         """
         if prefix is None:
             prefix = self.name
@@ -230,8 +254,8 @@ class SliceGroup:
         layout_gauge = registry.gauge(f"{prefix}.mirror_layout")
         layout_gauge.set(MIRROR_LAYOUT_CODES[self._engine_kind])
         self._engine_gauges.append(layout_gauge)
-        for i, array in enumerate(self._arrays):
-            registry.register_provider(f"{prefix}.slice{i}.memory", array.stats)
+        for suffix, counters in self._memory_mounts():
+            registry.register_provider(f"{prefix}.{suffix}", counters)
         registry.register_provider(
             f"{prefix}.occupancy",
             lambda: {
@@ -330,10 +354,12 @@ class SliceGroup:
 
     @property
     def record_count(self) -> int:
+        """Stored record copies (duplicated ternary keys count per copy)."""
         return self._record_count
 
     @property
     def load_factor(self) -> float:
+        """Current ``alpha`` of the database."""
         return self._record_count / self.capacity_records
 
     @property
@@ -346,7 +372,8 @@ class SliceGroup:
     # ------------------------------------------------------------------
 
     def _bucket_rows(self, bucket: int) -> List[Tuple[int, int]]:
-        """Physical (slice, row) pairs composing one logical bucket."""
+        """Physical (slice, row) pairs composing one logical bucket, in
+        logical slot order (the first row carries the reach field)."""
         if not 0 <= bucket < self.bucket_count:
             raise ConfigurationError(
                 f"bucket {bucket} out of range [0, {self.bucket_count})"
@@ -370,6 +397,11 @@ class SliceGroup:
             candidates.extend(self._layout.read_all(row_value))
         return candidates, reach
 
+    def _reach(self, bucket: int) -> int:
+        """A bucket's reach field (verified, no access accounting)."""
+        slice_id, row = self._bucket_rows(bucket)[0]
+        return self._layout.read_aux(self._arrays[slice_id].verified_peek_row(row))
+
     def _occupants(self, bucket: int) -> Tuple[List[Record], int]:
         """Decode a bucket's valid records (no access accounting)."""
         records: List[Record] = []
@@ -385,11 +417,6 @@ class SliceGroup:
 
     def _write_occupants(self, bucket: int, records: List[Record], reach: int) -> None:
         """Re-pack a logical bucket from a record list (slot 0 first)."""
-        if len(records) > self.slots_per_bucket:
-            raise CapacityError(
-                f"{len(records)} records exceed bucket capacity "
-                f"{self.slots_per_bucket}"
-            )
         per_slice = self._config.slots_per_bucket
         for i, (slice_id, row) in enumerate(self._bucket_rows(bucket)):
             chunk = records[i * per_slice : (i + 1) * per_slice]
@@ -397,12 +424,17 @@ class SliceGroup:
             self._arrays[slice_id].write_row(row, row_value)
 
     # ------------------------------------------------------------------
-    # CAM mode
+    # CAM mode: search
     # ------------------------------------------------------------------
 
     def search(self, key: KeyInput, search_mask: int = 0) -> SearchResult:
-        """Look up a key across the group (one AMAL access per logical
-        bucket visited, however many slices are fetched in parallel).
+        """Look up a key; extend along the probe sequence if the home
+        bucket's reach says overflows were spilled.
+
+        One AMAL access per logical bucket visited, however many slices
+        are fetched in parallel.  A search key with don't-care bits over
+        hash positions visits every candidate home bucket (Section 4's
+        multi-bucket access case).
 
         With reliability enabled the lookup retries around detected
         corruptions (quarantining the failing bucket) and consults the
@@ -415,8 +447,24 @@ class SliceGroup:
             key, search_mask, self._search_once
         )
 
+    def _match_bucket(
+        self, bucket: int, search_value: int, search_mask: int
+    ) -> Tuple[MatchResult, int]:
+        """One bucket access + parallel match: (result, reach).
+
+        With fewer match processors than slots (``P < S``), matching is
+        pipelined over several passes, which are accounted in the stats.
+        """
+        candidates, reach = self._read_bucket(bucket)
+        result, passes = self._matcher.match_pipelined(
+            candidates, search_value, search_mask,
+            processors=self._config.match_processors,
+        )
+        self.stats.record_match_passes(passes)
+        return result, reach
+
     def _search_once(self, key: KeyInput, search_mask: int = 0) -> SearchResult:
-        """One un-retried pass of the scalar group search."""
+        """One un-retried pass of the scalar search algorithm."""
         search_value = key.value if isinstance(key, TernaryKey) else int(key)
         if isinstance(key, TernaryKey):
             search_mask |= key.mask
@@ -424,24 +472,12 @@ class SliceGroup:
 
         accesses = 0
         for home in homes:
-            candidates, reach = self._read_bucket(home)
+            result, reach = self._match_bucket(home, search_value, search_mask)
             accesses += 1
-            result, passes = self._matcher.match_pipelined(
-                candidates, search_value, search_mask,
-                processors=self._config.match_processors,
-            )
-            self.stats.record_match_passes(passes)
-            if result.hit:
-                self.stats.record_lookup(accesses, hit=True)
-                return SearchResult(
-                    hit=True,
-                    record=result.record,
-                    row=home,
-                    slot=result.matched_slot,
-                    bucket_accesses=accesses,
-                    multiple_matches=result.multiple_matches,
-                )
-            for attempt in range(1, reach + 1):
+            bucket = home
+            attempt = 0
+            while not result.hit and attempt < reach:
+                attempt += 1
                 bucket = self._probing.probe(
                     home, attempt, self.bucket_count, search_value
                 )
@@ -449,23 +485,20 @@ class SliceGroup:
                     self.stats.tracer.emit(
                         "probe_step", attempt=attempt, row=bucket, keys=1
                     )
-                candidates, _ = self._read_bucket(bucket)
-                accesses += 1
-                result, passes = self._matcher.match_pipelined(
-                    candidates, search_value, search_mask,
-                    processors=self._config.match_processors,
+                result, _ = self._match_bucket(
+                    bucket, search_value, search_mask
                 )
-                self.stats.record_match_passes(passes)
-                if result.hit:
-                    self.stats.record_lookup(accesses, hit=True)
-                    return SearchResult(
-                        hit=True,
-                        record=result.record,
-                        row=bucket,
-                        slot=result.matched_slot,
-                        bucket_accesses=accesses,
-                        multiple_matches=result.multiple_matches,
-                    )
+                accesses += 1
+            if result.hit:
+                self.stats.record_lookup(accesses, hit=True)
+                return SearchResult(
+                    hit=True,
+                    record=result.record,
+                    row=bucket,
+                    slot=result.matched_slot,
+                    bucket_accesses=accesses,
+                    multiple_matches=result.multiple_matches,
+                )
         self.stats.record_lookup(max(accesses, 1), hit=False)
         return SearchResult(
             hit=False, record=None, row=None, slot=None,
@@ -524,7 +557,7 @@ class SliceGroup:
 
         A parallel engine holds a forked worker pool and shared-memory
         segments; serving shards call this on shutdown/drain so a retired
-        shard never leaks workers.  The group stays usable — the next
+        shard never leaks workers.  The database stays usable — the next
         batch lookup lazily rebuilds a fresh engine.  Idempotent.
         """
         self._close_batch_engine()
@@ -549,12 +582,15 @@ class SliceGroup:
         return DecodedMirror(self._arrays, self._layout, horizontal=horizontal)
 
     def _synced_mirror(self) -> "DecodedMirror":
-        """Decoded mirror over the whole group's logical bucket space.
+        """Decoded mirror over the whole logical bucket space, freshly synced.
 
         Horizontal arrangements mirror each row's slices as concatenated
         slot columns; vertical arrangements concatenate the row spaces —
         either way logical bucket ``b`` of the mirror is logical bucket
-        ``b`` of the scalar path.
+        ``b`` of the scalar path.  Built lazily on first use; afterwards
+        kept consistent incrementally via the arrays' invalidation
+        notifications, so repeated batch lookups between writes re-decode
+        nothing.
         """
         if self._mirror is None:
             self._mirror = self._make_mirror()
@@ -562,8 +598,12 @@ class SliceGroup:
         return self._mirror
 
     def _mirror_for_batch(self) -> "DecodedMirror":
-        """The mirror provider handed to the batch engine (sync under the
-        quarantine-and-retry loop when reliability is enabled)."""
+        """The mirror provider handed to the batch engine.
+
+        With reliability enabled, a sync that detects an uncorrectable row
+        quarantines it and retries, so the batch path shares the scalar
+        path's detect-or-correct contract.
+        """
         if self._reliability is None:
             return self._synced_mirror()
         return self._reliability.synced_mirror(self._synced_mirror)
@@ -590,14 +630,14 @@ class SliceGroup:
         if self._arrangement is Arrangement.HORIZONTAL:
             for array in self._arrays:
                 array.charge_reads(count)
-        else:
-            per_slice = np.bincount(
-                np.asarray(buckets, dtype=np.int64) // self._config.rows,
-                minlength=self._count,
-            )
-            for array, reads in zip(self._arrays, per_slice.tolist()):
-                if reads:
-                    array.charge_reads(int(reads))
+            return
+        per_slice = np.bincount(
+            np.asarray(buckets, dtype=np.int64) // self._config.rows,
+            minlength=self._count,
+        )
+        for array, reads in zip(self._arrays, per_slice.tolist()):
+            if reads:
+                array.charge_reads(int(reads))
 
     @property
     def batch_engine(self):
@@ -640,15 +680,23 @@ class SliceGroup:
     def search_batch_columnar(
         self, keys: Sequence[KeyInput], search_mask: int = 0
     ) -> "BatchResultSet":
-        """Vectorized group lookup returning the columnar
-        ``BatchResultSet`` (see
-        :meth:`repro.core.slice.CARAMSlice.search_batch_columnar`)."""
+        """Vectorized lookup returning the columnar ``BatchResultSet``.
+
+        The native product of the batch path: struct-of-arrays columns
+        (hit mask, winning bucket/slot, per-key access and match-pass
+        counts) written directly by the match kernels.
+        ``BatchResultSet.results()`` materializes the same
+        ``SearchResult`` list :meth:`search_batch` returns;
+        ``data_values()`` skips record objects entirely.
+        """
         if self._batch_engine is None:
             self._batch_engine = self._build_batch_engine()
-        # Parallel engines compose with the reliability layer — see
-        # CARAMSlice.search_batch_columnar: workers report touched
-        # bucket ids and the merge replays them through the access sink
-        # in-process, in deterministic shard order.
+        # Parallel engines compose with the reliability layer: workers
+        # read a guarded snapshot mirror and ship the bucket ids they
+        # touched back with their columns; the merge replays them through
+        # the access sink in deterministic shard order, so fault
+        # sampling, scrub ticks, and read accounting all happen
+        # in-process exactly as on the serial path.
         result_set = self._batch_engine.search_columnar(keys, search_mask)
         if self._reliability is not None:
             result_set = self._reliability.overlay_result_set(
@@ -659,30 +707,39 @@ class SliceGroup:
     def search_batch(
         self, keys: Sequence[KeyInput], search_mask: int = 0
     ) -> List[SearchResult]:
-        """Vectorized lookup of a whole key array across the group.
+        """Vectorized lookup of a whole key array.
 
         Equivalent — results and statistics (including
         :attr:`physical_row_fetches`) — to calling :meth:`search` per key
         in order; both the home-bucket common case and the extended probe
         walk are served by the decoded mirror, fanned across all slices at
-        once.
+        once.  Only keys needing the Section-4 multi-row enumeration
+        (don't-care bits over hash positions) fall back to the scalar path.
 
         A materializing wrapper over :meth:`search_batch_columnar`.
         """
         return self.search_batch_columnar(keys, search_mask).results()
 
-    def bulk_load(self, records) -> int:
+    # ------------------------------------------------------------------
+    # CAM mode: insert / delete
+    # ------------------------------------------------------------------
+
+    def bulk_load(self, records: Iterable[Tuple[KeyInput, int]]) -> int:
         """Insert many ``(key, data)`` pairs at once; returns stored copies.
 
         Semantically identical to calling :meth:`insert` per pair in order —
         same final per-slice memory images bit for bit, same record count,
-        same ``SearchStats`` — but built as one vectorized pipeline
-        (Section 3.2's DMA-style database construction).  The fast path
-        requires an empty group, linear probing, and a reach field of at
-        most 64 bits; otherwise the pairs are inserted sequentially.
-        Unlike the sequential loop, the fast path is all-or-nothing: a
+        same ``SearchStats`` — but built as one vectorized pipeline: batch
+        hashing, the :func:`~repro.hashing.analysis.simulate_linear_probing`
+        spill model for placement, one vectorized row-encoding pass, and a
+        single DMA-style install (Section 3.2's bulk construction).
+
+        The fast path requires an empty database, linear probing, and a
+        reach field of at most 64 bits; otherwise the pairs are inserted
+        sequentially (same result, scalar speed).  Unlike the sequential
+        loop, the fast path is all-or-nothing: a
         :class:`~repro.errors.CapacityError` is raised before any row is
-        written, leaving the group untouched.
+        written, leaving the database untouched.
         """
         pairs = list(records)
         if not pairs:
@@ -697,7 +754,6 @@ class SliceGroup:
         from repro.core.bulk import build_bulk_image
 
         max_reach = self._layout.max_reach if self._layout.aux_bits else 0
-        horizontal = self._arrangement is Arrangement.HORIZONTAL
         image = build_bulk_image(
             pairs,
             record_format=self._config.record_format,
@@ -709,14 +765,12 @@ class SliceGroup:
             slot_priority=self._slot_priority,
             slice_count=self._count,
             rows_per_slice=self._config.rows,
-            horizontal=horizontal,
+            horizontal=self._arrangement is Arrangement.HORIZONTAL,
             tracer=self.stats.tracer,
         )
         self._last_bulk_plan = image.plan
         with profile("bulk.install"):
-            self.dma_load(
-                image.array_rows, record_count=image.plan.copy_count
-            )
+            self._load_images(image.array_rows, image.plan.copy_count)
             self.stats.record_insert_batch(
                 image.plan.record_count, image.plan.copy_count
             )
@@ -731,6 +785,15 @@ class SliceGroup:
                 data_words=image.mirror_data_words,
             )
         return image.plan.copy_count
+
+    def _load_images(
+        self, slice_rows: Sequence[List[int]], record_count: int
+    ) -> None:
+        """Install one full row image per array; ``record_count`` is the
+        incoming occupant total."""
+        for array, rows in zip(self._arrays, slice_rows):
+            array.load(rows, 0)
+        self._record_count = record_count
 
     def dma_load(
         self,
@@ -759,16 +822,21 @@ class SliceGroup:
                 for rows in slice_rows
                 for value in rows
             )
-        for array, rows in zip(self._arrays, slice_rows):
-            array.load(list(rows), 0)
-        self._record_count = record_count
+        self._load_images(slice_rows, record_count)
 
     def insert(self, key: KeyInput, data: int = 0, allow_spill: bool = True) -> int:
         """Insert a record; returns the number of stored copies.
 
-        With ``allow_spill=False`` the insert fails (CapacityError) instead
-        of probing past a full home bucket — the hook the subsystem uses to
-        divert overflows into a victim store.
+        Ternary keys with don't-care bits in hash positions are duplicated
+        into every matching home bucket.  Each copy walks its probe
+        sequence to the first bucket with a free slot; the home bucket's
+        reach field is raised to cover the spill.  With
+        ``allow_spill=False`` the insert fails instead of probing past a
+        full home bucket — the hook the subsystem uses to divert overflows
+        into a victim store.
+
+        Raises:
+            CapacityError: when no bucket within the reach limit has space.
         """
         record = Record.make(key, data, self._config.record_format)
         homes = self._index.indices_for_stored(record.key)
@@ -777,7 +845,9 @@ class SliceGroup:
         self.stats.record_insert(len(homes))
         return len(homes)
 
-    def _place_copy(self, home: int, record: Record, allow_spill: bool) -> None:
+    def _place_copy(
+        self, home: int, record: Record, allow_spill: bool = True
+    ) -> None:
         max_reach = self._layout.max_reach if self._layout.aux_bits else 0
         limit = min(max_reach, self.bucket_count - 1) if allow_spill else 0
         for attempt in range(limit + 1):
@@ -799,12 +869,17 @@ class SliceGroup:
         )
 
     def _try_place(self, bucket: int, record: Record) -> bool:
-        records, reach = self._occupants(bucket)
-        if len(records) >= self.slots_per_bucket:
-            return False
-        if self._slot_priority is None:
-            records.append(record)
-        else:
+        """Store a record in one bucket if it has a free slot.
+
+        Writes only the physical row owning the first free logical slot.
+        With a slot-priority function the bucket is instead re-packed
+        sorted descending, so the priority encoder's lowest-index-wins rule
+        returns the right record.
+        """
+        if self._slot_priority is not None:
+            records, reach = self._occupants(bucket)
+            if len(records) >= self.slots_per_bucket:
+                return False
             priority = self._slot_priority(record)
             position = len(records)
             for i, existing in enumerate(records):
@@ -812,54 +887,122 @@ class SliceGroup:
                     position = i
                     break
             records.insert(position, record)
-        self._write_occupants(bucket, records, reach)
-        return True
+            self._write_occupants(bucket, records, reach)
+            return True
+        for slice_id, row in self._bucket_rows(bucket):
+            array = self._arrays[slice_id]
+            row_value = array.verified_peek_row(row)
+            free = self._layout.find_free_slot(row_value)
+            if free is not None:
+                array.write_row(
+                    row, self._layout.write_slot(row_value, free, record)
+                )
+                return True
+        return False
 
     def _raise_reach(self, home: int, attempt: int) -> None:
-        records, reach = self._occupants(home)
-        if attempt > reach:
-            self._write_occupants(home, records, attempt)
+        """Widen a home bucket's reach field (its first row's aux field)."""
+        slice_id, row = self._bucket_rows(home)[0]
+        array = self._arrays[slice_id]
+        row_value = array.verified_peek_row(row)
+        if attempt > self._layout.read_aux(row_value):
+            array.write_row(row, self._layout.write_aux(row_value, attempt))
+
+    def _clear_record(self, bucket: int, target: TernaryKey) -> bool:
+        """Clear the valid bit of the first copy of ``target`` in a bucket."""
+        for slice_id, row in self._bucket_rows(bucket):
+            array = self._arrays[slice_id]
+            row_value = array.verified_peek_row(row)
+            for slot in range(self._layout.slots_per_bucket):
+                valid, record = self._layout.read_slot(row_value, slot)
+                if valid and record.key == target:
+                    array.write_row(
+                        row, self._layout.write_slot(row_value, slot, None)
+                    )
+                    return True
+        return False
 
     def delete(self, key: KeyInput) -> int:
-        """Remove every stored copy of the exact key."""
+        """Remove every stored copy of the exact key (value *and* mask).
+
+        Each home's copy is cleared in place (its valid bit reset).  The
+        reach field is deliberately *not* shrunk (a real device cannot
+        cheaply know whether other records still need it); :meth:`rebuild`
+        recomputes it.  Returns the number of copies removed; raises
+        :class:`~repro.errors.LookupError_` when the key is absent.
+        """
         target = self._config.record_format.normalize_key(
             key if isinstance(key, TernaryKey) else int(key)
         )
-        homes = self._index.indices_for_stored(target)
         removed = 0
-        for home in homes:
-            _, reach = self._occupants(home)
-            for attempt in range(reach + 1):
+        for home in self._index.indices_for_stored(target):
+            for attempt in range(self._reach(home) + 1):
                 bucket = self._probing.probe(
                     home, attempt, self.bucket_count, target.value
                 )
-                records, bucket_reach = self._occupants(bucket)
-                kept = [r for r in records if r.key != target]
-                if len(kept) != len(records):
-                    self._write_occupants(bucket, kept, bucket_reach)
-                    self._record_count -= len(records) - len(kept)
-                    removed += len(records) - len(kept)
+                if self._clear_record(bucket, target):
+                    self._record_count -= 1
+                    removed += 1
                     break
         if not removed:
             raise LookupError_(f"key {target} not present")
         self.stats.record_delete()
         return removed
 
-    def scan(
-        self, search_key: int = 0, search_mask: Optional[int] = None
-    ) -> List[Tuple[int, Record]]:
-        """Massive data evaluation: all records matching a ternary
-        predicate, one pass over every bucket (Sections 1 / 3.2)."""
+    # ------------------------------------------------------------------
+    # Massive data evaluation and modification (Sections 1 / 3.2)
+    # ------------------------------------------------------------------
+    #
+    # "its decoupled match logic can be easily extended to implement more
+    # advanced functionality such as massive data evaluation and
+    # modification" — the match processors sweep every row once, applying
+    # the ternary comparison to all slots in parallel; one row access per
+    # row regardless of how many records match.
+
+    def _sweep(self, search_key: int, search_mask: int):
+        """Evaluate a ternary predicate over every bucket: (mirror, match).
+
+        The sweep is served from the decoded mirror but still costs what
+        the row loop would — one read of every row of every array.
+        """
+        mirror = self._synced_mirror()
+        match = mirror.match_predicate(search_key, search_mask)
+        for array in self._arrays:
+            array.charge_reads(array.rows)
+        self.physical_row_fetches += self._count * self._config.rows
+        return mirror, match
+
+    def _matches(
+        self, search_key: int, search_mask: Optional[int]
+    ) -> List[Tuple[int, int, Record]]:
+        """Every ``(bucket, slot, record)`` matching a ternary predicate
+        (``search_mask`` None = all don't-care, matching everything)."""
         import numpy as np
 
         if search_mask is None:
             search_mask = (1 << self._config.record_format.key_bits) - 1
-        mirror = self._synced_mirror()
-        match = mirror.match_predicate(search_key, search_mask)
+        mirror, match = self._sweep(search_key, search_mask)
         return [
-            (int(bucket), mirror.records[bucket, slot])
+            (int(bucket), int(slot), mirror.records[bucket, slot])
             for bucket, slot in np.argwhere(match)
         ]
+
+    def scan(
+        self, search_key: int = 0, search_mask: Optional[int] = None
+    ) -> List[Tuple[int, Record]]:
+        """Massive data evaluation: every ``(bucket, record)`` matching a
+        ternary predicate (``search_mask`` defaults to all-don't-care),
+        one pass over every row."""
+        return [
+            (bucket, record)
+            for bucket, _, record in self._matches(search_key, search_mask)
+        ]
+
+    def scan_count(
+        self, search_key: int = 0, search_mask: Optional[int] = None
+    ) -> int:
+        """Count records matching a ternary predicate (one row pass)."""
+        return len(self._matches(search_key, search_mask))
 
     def update_where(
         self,
@@ -867,32 +1010,42 @@ class SliceGroup:
         search_mask: int,
         transform: Callable[[Record], int],
     ) -> int:
-        """Massive modification: rewrite the data payload of every record
-        matching the ternary predicate.  Returns the modified count."""
+        """Massive modification: rewrite the data of every matching record.
+
+        Args:
+            search_key / search_mask: the ternary selection predicate.
+            transform: maps each matching record to its new data payload.
+
+        Returns:
+            Number of records modified.  Costs the one-read-per-row sweep
+            plus one verified read-modify-write per physical row that
+            holds a match; records keep their slots.
+        """
         import numpy as np
 
-        # The mirror narrows the sweep to buckets that hold a match; the
-        # per-bucket rewrite is the original decode/compact/re-pack logic,
-        # so slot compaction behaves exactly as before.
-        mirror = self._synced_mirror()
-        match = mirror.match_predicate(search_key, search_mask)
+        mirror, match = self._sweep(search_key, search_mask)
+        per_row = self._layout.slots_per_bucket
         modified = 0
         for bucket in np.flatnonzero(match.any(axis=1)).tolist():
-            records, reach = self._occupants(bucket)
-            dirty = False
-            for i, record in enumerate(records):
-                if self._matcher.match_slot(
-                    True, record, search_key, search_mask
-                ):
-                    records[i] = Record.make(
+            for i, (slice_id, row) in enumerate(self._bucket_rows(bucket)):
+                base = i * per_row
+                slots = np.flatnonzero(match[bucket, base : base + per_row])
+                if not slots.size:
+                    continue
+                array = self._arrays[slice_id]
+                row_value = array.verified_peek_row(row)
+                for slot in slots.tolist():
+                    record = mirror.records[bucket, base + slot]
+                    new_record = Record.make(
                         record.key,
                         transform(record),
                         self._config.record_format,
                     )
-                    dirty = True
+                    row_value = self._layout.write_slot(
+                        row_value, slot, new_record
+                    )
                     modified += 1
-            if dirty:
-                self._write_occupants(bucket, records, reach)
+                array.write_row(row, row_value)
         return modified
 
     def records(self) -> Iterator[Tuple[int, Record]]:
@@ -900,32 +1053,36 @@ class SliceGroup:
         for bucket, _, record in self._synced_mirror().iter_valid():
             yield bucket, record
 
+    # ------------------------------------------------------------------
+    # Maintenance
+    # ------------------------------------------------------------------
+
     def rebuild(self) -> None:
         """Re-insert everything to compact spills and recompute reach.
 
         After heavy delete/insert churn, reach fields over-approximate
         (they are never decremented in place); a rebuild restores
         tight extended-search bounds — the database (re)construction the
-        paper performs through RAM mode.
+        paper performs through RAM mode.  With reliability enabled the
+        sync runs under the quarantine-and-retry loop (a corrupt row
+        quarantines instead of aborting the rebuild) and the victim store
+        is folded back in.
         """
+        mirror = self._mirror_for_batch()
+        stored = [record for _, _, record in mirror.iter_valid()]
         if self._reliability is not None:
-            mirror = self._reliability.synced_mirror(self._synced_mirror)
-            stored = [record for _, _, record in mirror.iter_valid()]
             stored.extend(self._reliability.drain_victims())
             self._reliability.quarantined_buckets.clear()
-        else:
-            stored = [record for _, record in self.records()]
         for array in self._arrays:
             array.fill(0)
         self._record_count = 0
+        # Stable priority order so sorted buckets rebuild identically.
         if self._slot_priority is not None:
             stored.sort(key=self._slot_priority, reverse=True)
         for record in stored:
             # Re-place one copy per stored entry; duplicates were stored
             # explicitly, so bypass re-duplication.
-            self._place_copy(
-                self._index.index(record.key), record, allow_spill=True
-            )
+            self._place_copy(self._index.index(record.key), record)
 
     def clear(self) -> None:
         """Drop all records and reset counters."""

@@ -1,9 +1,10 @@
 """Slice/group-level reliability policy: quarantine, victims, retries.
 
-The :class:`ReliabilityManager` sits between a :class:`~repro.core.slice.
-CARAMSlice` (or :class:`~repro.core.subsystem.SliceGroup`) and its guarded
-memory arrays, and implements graceful degradation on top of the guard's
-detect-or-correct primitive:
+The :class:`ReliabilityManager` sits between a
+:class:`~repro.core.subsystem.SliceGroup` (a
+:class:`~repro.core.slice.CARAMSlice` is the one-slice group) and its
+guarded memory arrays, and implements graceful degradation on top of the
+guard's detect-or-correct primitive:
 
 * **retry-on-detect** — a lookup that trips a
   :class:`~repro.errors.CorruptionError` quarantines the failing bucket and
@@ -124,31 +125,35 @@ class ReliabilityPolicy:
 
 
 class ReliabilityManager:
-    """Reliability orchestration for one slice or slice group.
+    """Reliability orchestration for one database.
 
-    Built through :meth:`for_slice` / :meth:`for_group`; shared logic is
-    parameterized only by the bucket <-> (array, row) mapping.
+    Args:
+        owner: the protected :class:`~repro.core.subsystem.SliceGroup` (a
+            :class:`~repro.core.slice.CARAMSlice` is its one-slice case);
+            its arrays, bucket layout, matcher, slot priority and
+            arrangement fix the bucket <-> (array, row) mapping.
+        policy: the degradation knobs.
+        faults: optional fault-injection configuration.
     """
 
     def __init__(
         self,
         owner,
-        arrays: Sequence["MemoryArray"],
-        layout: "BucketLayout",
-        matcher: "MatchProcessor",
-        slot_priority: Optional[Callable[["Record"], float]],
         policy: ReliabilityPolicy,
-        faults: Optional[FaultConfig],
-        horizontal: bool,
+        faults: Optional[FaultConfig] = None,
     ) -> None:
+        from repro.core.config import Arrangement
+
         self.owner = owner
         self.policy = policy
         self.fault_config = faults
-        self._arrays = list(arrays)
-        self._layout = layout
-        self._matcher = matcher
-        self._slot_priority = slot_priority
-        self._horizontal = horizontal
+        self._arrays: List["MemoryArray"] = list(owner._arrays)
+        self._layout: "BucketLayout" = owner._layout
+        self._matcher: "MatchProcessor" = owner._matcher
+        self._slot_priority: Optional[Callable[["Record"], float]] = (
+            owner._slot_priority
+        )
+        self._horizontal = owner.arrangement is Arrangement.HORIZONTAL
         self._rows = self._arrays[0].rows
         self._total_rows = self._rows * len(self._arrays)
         self.injectors: List[Optional[FaultInjector]] = []
@@ -177,48 +182,6 @@ class ReliabilityManager:
         self.restore_counts: Dict[int, int] = {}
         self.restores = 0
         self._since_scrub = 0
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def for_slice(
-        cls,
-        slice_,
-        policy: ReliabilityPolicy,
-        faults: Optional[FaultConfig] = None,
-    ) -> "ReliabilityManager":
-        return cls(
-            owner=slice_,
-            arrays=[slice_._memory],
-            layout=slice_._layout,
-            matcher=slice_._matcher,
-            slot_priority=slice_._slot_priority,
-            policy=policy,
-            faults=faults,
-            horizontal=False,
-        )
-
-    @classmethod
-    def for_group(
-        cls,
-        group,
-        policy: ReliabilityPolicy,
-        faults: Optional[FaultConfig] = None,
-    ) -> "ReliabilityManager":
-        from repro.core.config import Arrangement
-
-        return cls(
-            owner=group,
-            arrays=group._arrays,
-            layout=group._layout,
-            matcher=group._matcher,
-            slot_priority=group._slot_priority,
-            policy=policy,
-            faults=faults,
-            horizontal=group._arrangement is Arrangement.HORIZONTAL,
-        )
 
     def detach(self) -> None:
         """Remove the guards (the arrays return to unprotected reads)."""
@@ -433,7 +396,7 @@ class ReliabilityManager:
         if not self.victims:
             return result
         from repro.core.key import TernaryKey
-        from repro.core.slice import SearchResult
+        from repro.core.results import SearchResult
 
         if isinstance(key, TernaryKey):
             value = key.value

@@ -66,6 +66,26 @@ class TestGroupBulkOps:
         for key in keys:
             assert group.lookup(key) == 3
 
+    def test_scan_costs_one_access_per_row(self, arrangement):
+        group = make_group(arrangement)
+        for k in range(30):
+            group.insert(k, data=k)
+        before = [array.stats.reads for array in group._arrays]
+        group.scan()
+        after = [array.stats.reads for array in group._arrays]
+        rows = group.config.rows
+        assert [a - b for a, b in zip(after, before)] == [rows, rows]
+
+    def test_update_sweep_costs_one_access_per_row(self, arrangement):
+        group = make_group(arrangement)
+        for k in range(30):
+            group.insert(k, data=k)
+        before = [array.stats.reads for array in group._arrays]
+        group.update_where(5, 0, lambda r: 1)
+        after = [array.stats.reads for array in group._arrays]
+        rows = group.config.rows
+        assert [a - b for a, b in zip(after, before)] == [rows, rows]
+
 
 class TestHandleDelegation:
     def test_scan_and_update_through_handle(self):
