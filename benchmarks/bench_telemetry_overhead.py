@@ -3,10 +3,13 @@
 The telemetry hooks are designed to be free when off: a detached tracer is
 one ``is None`` attribute check per ``record_*`` call, and a disabled
 profiler hands back a shared no-op context manager.  This benchmark pins
-that down with numbers: it measures warm batch-lookup throughput on the
-same slice/query stream as ``bench_batch_lookup.py`` in three modes —
+that down with numbers on the ``bench_batch_lookup.py`` slice shape,
+stored keys and query stream:
 
-* ``disabled`` — no tracer attached (the default everyone runs);
+* ``baseline`` — a slice that never had telemetry attached;
+* ``disabled`` — an identical slice that had a tracer, a metrics registry
+  and latency tracking attached and then removed (the default everyone
+  runs, after any debugging session);
 * ``null_sink`` — tracer attached, events built and dropped;
 * ``ring`` — tracer attached, events retained in the in-memory ring;
 * ``sampler`` — no tracer, but a background :class:`JsonlSampler` writing
@@ -15,17 +18,19 @@ same slice/query stream as ``bench_batch_lookup.py`` in three modes —
 
 and writes keys/sec plus the relative overheads to
 ``BENCH_telemetry_overhead.json``.  The pytest gates assert (a) the
-disabled mode stays within 5% of the committed ``BENCH_batch_lookup.json``
-warm baseline (skipped when no baseline is committed), i.e. that merely
-*having* the instrumentation costs nothing, and (b) the enabled sampler
-mode stays within ``SAMPLER_GATE_THRESHOLD`` of the disabled mode — the
-price of live observability is bounded, not just measured.
+disabled slice stays within 5% of the baseline slice — both built in the
+same run and timed interleaved in alternating order, best of
+``REPEATS``, so the ratio compares like with like on whatever host runs
+it — i.e. that merely *having had* the instrumentation costs nothing,
+and (b) the enabled sampler mode stays within ``SAMPLER_GATE_THRESHOLD``
+of the disabled mode — the price of live observability is bounded, not
+just measured.
 
 Run standalone with::
 
     PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py
 
-or through pytest (asserts the <5% disabled-mode overhead)::
+or through pytest (asserts both gates)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_telemetry_overhead.py
 """
@@ -35,8 +40,6 @@ import tempfile
 import time
 from pathlib import Path
 
-import pytest
-
 from bench_batch_lookup import build_slice, make_queries, populate
 from harness import finalize, result_path
 from repro.telemetry.export import JsonlSampler
@@ -44,9 +47,8 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import InMemorySink, NullSink, Tracer
 
 RESULT_PATH = result_path("telemetry_overhead")
-BASELINE_PATH = result_path("batch_lookup")
 
-REPEATS = 3          # best-of to squeeze out scheduler noise
+REPEATS = 5          # interleaved best-of to squeeze out scheduler noise
 GATE_THRESHOLD = 0.05
 SAMPLER_INTERVAL = 0.05
 #: The sampler thread snapshots the registry off the hot path, so its cost
@@ -54,25 +56,47 @@ SAMPLER_INTERVAL = 0.05
 SAMPLER_GATE_THRESHOLD = 0.25
 
 
+def _time_batch(slice_, queries) -> float:
+    start = time.perf_counter()
+    slice_.search_batch(queries)
+    return time.perf_counter() - start
+
+
 def _measure_warm(slice_, queries) -> float:
     """Best-of-``REPEATS`` warm batch throughput in keys/sec."""
     slice_.search_batch(queries[:1])  # warm the mirror + engine
-    best = 0.0
+    best = min(_time_batch(slice_, queries) for _ in range(REPEATS))
+    return len(queries) / best
+
+
+def _measure_disabled_overhead(baseline, toggled, queries) -> dict:
+    """Warm batch throughput of the never-traced slice and the
+    traced-then-detached one, timed interleaved in alternating order,
+    best of ``REPEATS`` each."""
+    for slice_ in (baseline, toggled):
+        slice_.search_batch(queries[:1])  # warm the mirror + engine
+    best = {"baseline": float("inf"), "disabled": float("inf")}
+    legs = [("baseline", baseline), ("disabled", toggled)]
     for _ in range(REPEATS):
-        start = time.perf_counter()
-        slice_.search_batch(queries)
-        seconds = time.perf_counter() - start
-        best = max(best, len(queries) / seconds)
-    return best
+        for name, slice_ in legs:
+            best[name] = min(best[name], _time_batch(slice_, queries))
+        legs.reverse()  # neither leg always runs first
+    return {
+        "baseline_keys_per_sec": round(len(queries) / best["baseline"]),
+        "disabled_keys_per_sec": round(len(queries) / best["disabled"]),
+        "disabled_overhead_vs_baseline": round(
+            best["disabled"] / best["baseline"] - 1, 4
+        ),
+    }
 
 
 def run_benchmark() -> dict:
+    baseline = build_slice()
+    stored = populate(baseline)
     slice_ = build_slice()
-    stored = populate(slice_)
+    for key in stored:
+        slice_.insert(key, key & 0xFFFF)
     queries = make_queries(stored)
-
-    slice_.tracer = None
-    disabled = _measure_warm(slice_, queries)
 
     null_tracer = Tracer(sink=NullSink())
     slice_.tracer = null_tracer
@@ -98,10 +122,13 @@ def run_benchmark() -> dict:
             sampler_mode = _measure_warm(slice_, queries)
         sampler_samples = sampler.samples_written
     slice_.disable_latency_tracking()
+    del registry, sampler  # nothing outside the slice keeps them alive
 
+    overhead = _measure_disabled_overhead(baseline, slice_, queries)
+    disabled = overhead["disabled_keys_per_sec"]
     result = {
         "keys": len(queries),
-        "disabled_keys_per_sec": round(disabled),
+        **overhead,
         "null_sink_keys_per_sec": round(null_sink),
         "ring_keys_per_sec": round(ring),
         "sampler_keys_per_sec": round(sampler_mode),
@@ -111,31 +138,12 @@ def run_benchmark() -> dict:
         "sampler_interval_s": SAMPLER_INTERVAL,
         "sampler_samples": sampler_samples,
     }
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        # The batch-lookup report nests warm throughput per engine since
-        # the multi-engine rework; older flat baselines keep working.
-        warm_baseline = baseline.get("batch_warm_keys_per_sec")
-        if warm_baseline is None:
-            warm_baseline = (
-                baseline.get("engines", {})
-                .get("word", {})
-                .get("mixed", {})
-                .get("batch_warm_keys_per_sec")
-            )
-        if warm_baseline is not None:
-            result["baseline_warm_keys_per_sec"] = warm_baseline
-            result["disabled_overhead_vs_baseline"] = round(
-                warm_baseline / disabled - 1, 4
-            )
     return finalize(RESULT_PATH, result, telemetry={"trace": trace_summary})
 
 
 def test_disabled_tracing_overhead():
     result = run_benchmark()
     assert result["sampler_overhead"] <= SAMPLER_GATE_THRESHOLD, result
-    if "disabled_overhead_vs_baseline" not in result:
-        pytest.skip("no committed BENCH_batch_lookup.json baseline")
     assert result["disabled_overhead_vs_baseline"] <= GATE_THRESHOLD, result
 
 

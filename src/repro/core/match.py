@@ -75,7 +75,9 @@ class MatchProcessor:
     def key_bits(self) -> int:
         return self._key_bits
 
-    def _check_key(self, search_key: int, search_mask: int) -> None:
+    def check_key(self, search_key: int, search_mask: int = 0) -> None:
+        """Raise :class:`KeyFormatError` unless the search key and mask
+        fit in ``key_bits`` bits (the N-bit comparator's input width)."""
         if not 0 <= search_key <= self._full_mask:
             raise KeyFormatError(
                 f"search key {search_key:#x} does not fit in "
@@ -122,7 +124,7 @@ class MatchProcessor:
             return self.match(candidates, search_key, search_mask), 1
         if processors <= 0:
             raise KeyFormatError(f"processors must be positive: {processors}")
-        self._check_key(search_key, search_mask)
+        self.check_key(search_key, search_mask)
         vector: List[bool] = []
         passes = 0
         matched_slot: Optional[int] = None
@@ -165,7 +167,7 @@ class MatchProcessor:
             search_key: the N-bit search key.
             search_mask: don't-care bits in the search key (``M_i``).
         """
-        self._check_key(search_key, search_mask)
+        self.check_key(search_key, search_mask)
         vector: List[bool] = [
             self.match_slot(valid, record, search_key, search_mask)
             for valid, record in candidates

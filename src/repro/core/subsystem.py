@@ -38,7 +38,12 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import CapacityError, ConfigurationError, LookupError_
+from repro.errors import (
+    CapacityError,
+    ConfigurationError,
+    KeyFormatError,
+    LookupError_,
+)
 from repro.core.engines import (
     MIRROR_LAYOUT_CODES,
     format_engine_spec,
@@ -508,6 +513,20 @@ class SliceGroup:
     def lookup(self, key: KeyInput, search_mask: int = 0) -> Optional[int]:
         """Convenience: matched record's data, or None."""
         return self.search(key, search_mask).data
+
+    def check_search_key(self, key: KeyInput, search_mask: int = 0) -> None:
+        """Raise :class:`KeyFormatError` unless ``key`` and ``search_mask``
+        make a lookup this group can run — the match processor's width
+        rule, for callers that validate a key before queueing it."""
+        if isinstance(key, TernaryKey):
+            if key.width != self._matcher.key_bits:
+                raise KeyFormatError(
+                    f"search width {key.width} != stored width "
+                    f"{self._matcher.key_bits}"
+                )
+            search_mask |= key.mask
+            key = key.value
+        self._matcher.check_key(int(key), search_mask)
 
     def __contains__(self, key: KeyInput) -> bool:
         return self.search(key).hit

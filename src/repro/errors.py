@@ -139,12 +139,14 @@ class ServiceOverloadError(CaRamError):
 class ShardUnavailableError(CaRamError):
     """No replica of a shard could answer within the failover policy.
 
-    Raised by the fault-tolerant serving path
-    (:class:`~repro.serving.replication.FaultTolerantService`) when every
-    replica of the owning shard is evicted, crashed, timed out, or
-    errored through the retry/hedge budget — the whole replica set is
-    down, not just one copy.  Single-replica failures never surface this
-    error; they fail over.
+    Raised by the serving tier's failover loop
+    (:class:`~repro.serving.service.ShardedService` and the cluster's
+    direct path) when the replicas of the owning shard crashed, timed
+    out, or errored through the retry/hedge budget — chained
+    (``__cause__``) to the last replica error.  While another replica of
+    the set still answers, one replica's failure never surfaces this
+    error; it fails over.  At R=1 there is no other replica, so a shard
+    that keeps failing through the retries surfaces it.
 
     Attributes:
         shard_id: the logical shard whose replica set was exhausted

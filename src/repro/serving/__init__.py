@@ -4,21 +4,30 @@ Layers (each its own module, composable separately):
 
 * :mod:`repro.serving.router` — keyspace partitioning (consistent-hash
   for point keys, prefix-range for LPM).
-* :mod:`repro.serving.cluster` — N ``CARAMSubsystem`` shards behind one
-  router: loading, the direct synchronous batch reference path, rollup
-  telemetry, lifecycle.
-* :mod:`repro.serving.service` — the asyncio front end: request
+* :mod:`repro.serving.replication` — the replica layer: replica sets
+  (R bit-identical copies of a shard, R=1 by default) with balancing and
+  circuit-breaker membership, the failover policy, chaos injection.
+* :mod:`repro.serving.cluster` — the one cluster: a router over one
+  replica set per shard; loading, the direct synchronous reference path,
+  chaos/membership control, rollup telemetry, lifecycle.
+* :mod:`repro.serving.service` — the one asyncio front end: request
   coalescing into columnar batches, admission control/load shedding
-  (:class:`~repro.errors.ServiceOverloadError`), graceful drain.
+  (:class:`~repro.errors.ServiceOverloadError`), the failover loop
+  (deadlines, retries, hedging,
+  :class:`~repro.errors.ShardUnavailableError`), graceful drain.
 * :mod:`repro.serving.loadgen` — closed/open-loop load generation with
   Zipf-skewed traffic and per-request answer verification.
-* :mod:`repro.serving.replication` — replica sets, chaos injection, and
-  the fault-tolerant request path (deadlines, retries, hedging,
-  circuit-breaker membership,
-  :class:`~repro.errors.ShardUnavailableError`).
+
+``ReplicatedCluster`` and ``FaultTolerantService`` are aliases of
+:class:`CaramCluster` and :class:`ShardedService`.
 """
 
-from repro.serving.cluster import CaramCluster, CaramShard, ShardSpec
+from repro.serving.cluster import (
+    CaramCluster,
+    CaramShard,
+    ReplicatedCluster,
+    ShardSpec,
+)
 from repro.serving.loadgen import (
     LoadReport,
     RequestStream,
@@ -34,13 +43,15 @@ from repro.serving.router import (
 from repro.serving.replication import (
     ChaosSpec,
     FailoverPolicy,
-    FaultTolerantService,
     Replica,
     ReplicaSet,
-    ReplicatedCluster,
     ShardChaos,
 )
-from repro.serving.service import CoalescerStats, ShardedService
+from repro.serving.service import (
+    CoalescerStats,
+    FaultTolerantService,
+    ShardedService,
+)
 
 __all__ = [
     "CaramCluster",

@@ -1,4 +1,4 @@
-"""Asyncio front end: request coalescing, admission control, drain.
+"""Asyncio front end: request coalescing, admission control, failover, drain.
 
 The fast path of this repo is a vectorized batch kernel that answers
 hundreds of keys per call; live traffic arrives one key at a time.
@@ -21,6 +21,9 @@ Coalescing policy (per shard, classic batch-window):
 
 Admission control and backpressure:
 
+* a key that does not fit the shard's key width is rejected with
+  :class:`~repro.errors.KeyFormatError` before it is queued, so it fails
+  only its own caller — never its batch, never a replica;
 * each shard lane holds at most ``max_pending`` queued requests; a
   request arriving at a full lane is **shed** with a typed
   :class:`~repro.errors.ServiceOverloadError` (stable CLI exit code 12) —
@@ -30,24 +33,36 @@ Admission control and backpressure:
   admitted; :meth:`aclose` additionally closes every shard's batch
   engine, so drained shards never leak forked worker pools.
 
+Failover: every flushed batch resolves through one loop over the shard's
+:class:`~repro.serving.replication.ReplicaSet` under its
+:class:`~repro.serving.replication.FailoverPolicy` — per-sub-batch
+deadline, per-attempt timeout, retry with jittered backoff onto an
+untried replica (the same one again at R=1), optional hedging, and a
+typed :class:`~repro.errors.ShardUnavailableError` (exit code 13,
+chained to the last replica error) when the budget runs out.  At R=1
+with a healthy shard the loop is one call.  ``FaultTolerantService`` is
+an alias of this class.
+
 Batch execution runs on a thread-pool executor by default (NumPy kernels
 release the GIL for the heavy ops), keeping the event loop free to accept
-and coalesce the next window while a shard computes; per-shard lanes
-serialize their own batches, so a shard's engine is never re-entered.
+and coalesce the next window while a shard computes; per-replica locks
+serialize batches into one engine, so a shard's engine is never
+re-entered.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.errors import ConfigurationError, ServiceOverloadError
+from repro.errors import CaRamError, ConfigurationError, ServiceOverloadError
 from repro.core.index import KeyInput
 from repro.core.slice import SearchResult
 from repro.serving.cluster import CaramCluster
+from repro.serving.replication import CALLER_ERRORS, Replica, ReplicaSet
 
-__all__ = ["ShardedService", "CoalescerStats"]
+__all__ = ["ShardedService", "FaultTolerantService", "CoalescerStats"]
 
 #: Default coalescing window (seconds) — long enough to gather a batch at
 #: serving rates, short enough to stay invisible next to network RTTs.
@@ -112,10 +127,20 @@ class _Request:
 class _Lane:
     """One shard's bounded queue + wakeup event + worker task."""
 
-    __slots__ = ("shard", "pending", "event", "task", "busy", "oldest_at")
+    __slots__ = (
+        "replica_set",
+        "check_key",
+        "pending",
+        "event",
+        "task",
+        "busy",
+        "oldest_at",
+    )
 
-    def __init__(self, shard) -> None:
-        self.shard = shard
+    def __init__(self, replica_set: ReplicaSet) -> None:
+        self.replica_set = replica_set
+        # Every replica of a set shares one record format.
+        self.check_key = replica_set.replicas[0].shard.group.check_search_key
         self.pending: List[_Request] = []
         self.event: Optional[asyncio.Event] = None
         self.task: Optional[asyncio.Task] = None
@@ -124,17 +149,21 @@ class _Lane:
 
 
 class ShardedService:
-    """The asyncio serving tier over a :class:`CaramCluster`.
+    """The asyncio serving tier over a :class:`CaramCluster` of any
+    replication factor.
 
     Args:
-        cluster: the shards and router to serve.
+        cluster: the replica sets and router to serve.
         max_batch_size: flush a lane as soon as this many requests are
             queued (1 disables coalescing — the honest one-request-at-a-
             time baseline the serving benchmark compares against).
         max_delay: seconds a request may wait for co-batched company.
         max_pending: per-shard admission bound; beyond it requests shed.
         offload: run batch kernels on the loop's thread-pool executor
-            (default) instead of inline on the event loop.
+            (default) instead of inline on the event loop.  Deadlines,
+            per-attempt timeouts and hedges can only preempt offloaded
+            calls: an inline call holds the event loop, and its timers
+            with it, until it returns.
 
     Use as an async context manager, or call :meth:`aclose` explicitly —
     a garbage-collected service cancels its lane tasks but cannot await
@@ -167,7 +196,7 @@ class ShardedService:
         self.max_pending = max_pending
         self.offload = offload
         self.stats = CoalescerStats()
-        self._lanes = [_Lane(shard) for shard in cluster.shards]
+        self._lanes = [_Lane(rset) for rset in cluster.replica_sets]
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._accepting = True
         self._closed = False
@@ -184,8 +213,13 @@ class ShardedService:
         hood with every other concurrent caller of the same shard.
 
         Raises:
+            KeyFormatError: ``key`` or ``search_mask`` does not fit the
+                shard's key width (checked before queueing, so it fails
+                this caller alone).
             ServiceOverloadError: the owning shard's queue is full, or
                 the service is draining/closed.
+            ShardUnavailableError: no replica of the owning shard
+                answered within the failover policy.
         """
         if not self._accepting:
             raise ServiceOverloadError(
@@ -193,6 +227,7 @@ class ShardedService:
             )
         shard_id = self.cluster.router.shard_for_query(key)
         lane = self._lanes[shard_id]
+        lane.check_key(key, search_mask)
         loop = self._ensure_started()
         if lane.task is not None and lane.task.done():
             raise ServiceOverloadError(
@@ -293,9 +328,9 @@ class ShardedService:
             self._fail_pending(
                 lane,
                 ServiceOverloadError(
-                    f"shard {lane.shard.shard_id} lane worker exited "
-                    "with requests queued",
-                    shard_id=lane.shard.shard_id,
+                    f"shard {lane.replica_set.shard_id} lane worker "
+                    "exited with requests queued",
+                    shard_id=lane.replica_set.shard_id,
                 ),
             )
 
@@ -334,20 +369,179 @@ class ShardedService:
     async def _resolve(
         self, lane: _Lane, keys: List[KeyInput], mask: int
     ) -> List[SearchResult]:
-        """Answer one same-mask sub-batch against the lane's shard.
+        """Answer one same-mask sub-batch through the failover loop.
 
-        The single overridable seam of the request path: subclasses (the
-        fault-tolerant replicated service) swap in deadlines, retries,
-        and hedging here while inheriting coalescing, admission control,
-        and drain unchanged.
+        Pick a replica, call it (hedged if the policy says so) within
+        the per-attempt timeout and the sub-batch deadline, and on a
+        replica error or timeout back off and retry onto an untried
+        replica — or the same one again when every live replica has been
+        tried, as at R=1.  When the attempts or the deadline run out the
+        callers get a typed :class:`ShardUnavailableError` chained to the
+        last replica error.
         """
+        rset = lane.replica_set
+        policy = rset.policy
+        loop = self._loop
+        deadline_at = (
+            None
+            if policy.deadline is None
+            else loop.time() + policy.deadline
+        )
+        tried: List[Replica] = []
+        last_error: Optional[CaRamError] = None
+        timed_out = False
+        for attempt in range(policy.max_attempts):
+            if attempt:
+                rset.stats.retries += 1
+                rset._emit(
+                    "replica.retry", attempt=attempt, keys=len(keys)
+                )
+                delay = policy.backoff_delay(attempt, rset._rng)
+                if deadline_at is not None:
+                    delay = min(
+                        delay, max(0.0, deadline_at - loop.time())
+                    )
+                if delay > 0:
+                    await asyncio.sleep(delay)
+            primary = rset.pick(exclude=tried)
+            if primary is None:
+                break  # nothing left to pick from
+            tried.append(primary)
+            try:
+                return await self._attempt(
+                    rset, primary, keys, mask, tried, deadline_at
+                )
+            except asyncio.TimeoutError:
+                timed_out = True
+                last_error = None
+                if (
+                    deadline_at is not None
+                    and loop.time() >= deadline_at
+                ):
+                    break  # total budget gone; retrying cannot help
+            except CALLER_ERRORS:
+                raise
+            except CaRamError as error:
+                last_error = error
+        detail = "deadline exceeded" if timed_out else "all failed"
+        raise rset.exhausted(tried, detail) from last_error
 
-        def run() -> List[SearchResult]:
-            return lane.shard.search_batch_columnar(keys, mask).results()
+    async def _attempt(
+        self,
+        rset: ReplicaSet,
+        primary: Replica,
+        keys: List[KeyInput],
+        mask: int,
+        tried: List[Replica],
+        deadline_at: Optional[float],
+    ) -> List[SearchResult]:
+        """One primary call, optionally hedged; first success wins.
 
+        Records per-replica success/failure internally and appends every
+        hedge replica it consumed to ``tried`` so the outer retry loop
+        never re-picks a replica that already failed this sub-batch.
+        A call that has already returned is taken even past a cutoff.
+        """
+        loop = self._loop
+        policy = rset.policy
+        cutoffs = [] if deadline_at is None else [deadline_at]
+        if policy.attempt_timeout is not None:
+            cutoffs.append(loop.time() + policy.attempt_timeout)
+        calls: Dict[asyncio.Future, Replica] = {
+            self._spawn(primary, keys, mask): primary
+        }
+        hedge_armed = policy.hedge_delay is not None
+        last_error: Optional[CaRamError] = None
+        while calls:
+            remaining = (
+                max(0.0, min(cutoffs) - loop.time()) if cutoffs else None
+            )
+            wait_timeout = remaining
+            if hedge_armed:
+                wait_timeout = (
+                    policy.hedge_delay
+                    if remaining is None
+                    else min(policy.hedge_delay, remaining)
+                )
+            done, _ = await asyncio.wait(
+                set(calls),
+                timeout=wait_timeout,
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+            if not done:
+                if remaining is not None and wait_timeout >= remaining:
+                    self._abandon(rset, calls, timed_out=True)
+                    raise asyncio.TimeoutError
+                hedge_armed = False
+                hedge = rset.pick(exclude=tried, retry_tried=False)
+                if hedge is not None:
+                    tried.append(hedge)
+                    rset.stats.hedges += 1
+                    rset._emit(
+                        "replica.hedge",
+                        replica_id=hedge.replica_id,
+                        keys=len(keys),
+                    )
+                    calls[self._spawn(hedge, keys, mask)] = hedge
+                continue
+            for future in done:
+                replica = calls.pop(future)
+                try:
+                    results = future.result()
+                except CALLER_ERRORS:
+                    self._abandon(rset, calls, timed_out=False)
+                    raise
+                except CaRamError as error:
+                    rset.record_failure(replica, "error")
+                    last_error = error
+                    continue
+                rset.record_success(replica)
+                if replica is not primary:
+                    rset.stats.hedge_wins += 1
+                    rset._emit(
+                        "replica.hedge_won",
+                        replica_id=replica.replica_id,
+                    )
+                self._abandon(rset, calls, timed_out=False)
+                return results
+        if last_error is not None:
+            raise last_error
+        raise asyncio.TimeoutError  # pragma: no cover - defensive
+
+    def _spawn(
+        self, replica: Replica, keys: List[KeyInput], mask: int
+    ) -> asyncio.Future:
+        """Start one replica call: on the executor when offloading,
+        otherwise run it inline and hand back its settled future."""
         if self.offload:
-            return await self._loop.run_in_executor(None, run)
-        return run()
+            return self._loop.run_in_executor(
+                None, replica.call, keys, mask
+            )
+        future = self._loop.create_future()
+        try:
+            future.set_result(replica.call(keys, mask))
+        except Exception as error:  # noqa: BLE001 - settled like a call
+            future.set_exception(error)
+        return future
+
+    def _abandon(
+        self,
+        rset: ReplicaSet,
+        calls: Dict[asyncio.Future, Replica],
+        timed_out: bool,
+    ) -> None:
+        """Walk away from still-inflight calls.
+
+        The executor threads may keep running (a hang cannot be
+        preempted), but their results are dropped: cancelling the
+        asyncio wrapper makes a late set_result/exception a no-op, so
+        nothing leaks and nothing warns.
+        """
+        for future, replica in calls.items():
+            if timed_out:
+                rset.record_failure(replica, "timeout")
+            future.cancel()
+        calls.clear()
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -409,7 +603,7 @@ class ShardedService:
                 lane,
                 ServiceOverloadError(
                     "service closed; request rejected",
-                    shard_id=lane.shard.shard_id,
+                    shard_id=lane.replica_set.shard_id,
                 ),
             )
         self.cluster.close()
@@ -433,3 +627,7 @@ class ShardedService:
         registry.register_provider(
             f"{prefix}.coalescer", self.stats.as_dict
         )
+
+
+#: The replicated-era name of the one service class.
+FaultTolerantService = ShardedService

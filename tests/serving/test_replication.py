@@ -104,12 +104,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ReplicatedCluster.build(2, replication=0)
 
-    def test_ft_service_requires_replicated_cluster(self):
-        reference = build_reference()
-        with pytest.raises(ConfigurationError):
-            FaultTolerantService(reference)
-        reference.close()
-
 
 class TestReplicatedCluster:
     def test_replicas_are_bit_identical(self):
@@ -525,3 +519,51 @@ class TestFaultScheduleProperty:
                 continue
             hit, data = self.EXPECTED[key]
             assert outcome.hit == hit and outcome.data == data
+
+
+class TestLastReplicaStays:
+    """The breaker never evicts a set's last live replica: at R=1 a
+    failing shard is retried, and answers again once its fault clears."""
+
+    def test_single_replica_recovers_after_error_window(self):
+        records = make_records()
+        cluster = build_replicated(
+            shard_count=1, replication=1, records=records
+        )
+        cluster.inject_chaos(
+            0, 0, ChaosSpec(mode="error", at_call=0, duration_calls=3)
+        )
+        service = FaultTolerantService(
+            cluster, max_batch_size=64, max_delay=0.01
+        )
+        keys = [key for key, _ in records[:10]]
+
+        async def run():
+            async with service:
+                window = await asyncio.gather(
+                    *(service.lookup(key) for key in keys),
+                    return_exceptions=True,
+                )
+                after = await asyncio.gather(
+                    *(service.lookup(key) for key in keys)
+                )
+                return window, after
+
+        window, after = asyncio.run(run())
+        for outcome in window:
+            assert isinstance(outcome, ShardUnavailableError)
+            assert isinstance(outcome.__cause__, ReliabilityError)
+        assert [r.data for r in after] == [data for _, data in records[:10]]
+        replica = cluster.replica(0, 0)
+        assert replica.state == ACTIVE
+        assert replica.errors == 3
+        assert cluster.replica_sets[0].stats.evictions == 0
+
+    def test_health_verdict_keeps_last_live_replica(self):
+        cluster = build_replicated(shard_count=1, replication=2)
+        rset = cluster.replica_sets[0]
+        cluster.apply_health_report(0, 0, make_report("critical"))
+        cluster.apply_health_report(0, 1, make_report("critical"))
+        assert [r.state for r in rset.replicas] == [EVICTED, ACTIVE]
+        assert rset.stats.evictions == 1
+        cluster.close()

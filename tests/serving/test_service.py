@@ -12,8 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ServiceOverloadError
+from repro.errors import (
+    ConfigurationError,
+    KeyFormatError,
+    ServiceOverloadError,
+)
 from repro.serving.cluster import CaramCluster
+from repro.serving.replication import ACTIVE
 from repro.serving.service import ShardedService
 from repro.utils.rng import make_rng
 
@@ -26,9 +31,13 @@ def make_records(count=120, seed=11):
     return [(int(key), int(key) & 0xFF) for key in keys]
 
 
-def build_cluster(shard_count=2, records=None):
+def build_cluster(shard_count=2, records=None, replication=1):
     cluster = CaramCluster.build(
-        shard_count=shard_count, index_bits=5, slots=8, key_bits=KEY_BITS
+        shard_count=shard_count,
+        replication=replication,
+        index_bits=5,
+        slots=8,
+        key_bits=KEY_BITS,
     )
     cluster.load(make_records() if records is None else records)
     return cluster
@@ -328,19 +337,21 @@ class TestParityProperty:
         ),
         max_batch_size=st.integers(1, 16),
         max_delay_ms=st.sampled_from([0.0, 0.5]),
+        replication=st.sampled_from([1, 2]),
     )
     def test_any_interleaving_matches_direct_batch(
-        self, picks, max_batch_size, max_delay_ms
+        self, picks, max_batch_size, max_delay_ms, replication
     ):
         # Mix of stored keys and near-misses (key+1 is usually absent).
         keys = [
             self.STORED[i] if hit else (self.STORED[i] + 1) & 0xFFFF
             for i, hit in picks
         ]
-        service = make_service(
-            records=self.RECORDS,
+        service = ShardedService(
+            build_cluster(records=self.RECORDS, replication=replication),
             max_batch_size=max_batch_size,
             max_delay=max_delay_ms / 1000.0,
+            offload=False,
         )
         reference = build_cluster(records=self.RECORDS)
 
@@ -356,3 +367,44 @@ class TestParityProperty:
         # Per-key stats sum identically regardless of batch boundaries.
         assert service.cluster.total_stats() == reference.total_stats()
         reference.close()
+
+
+class TestKeyAdmission:
+    """A malformed key fails its own caller only: it never joins a
+    coalesced batch and never counts against a replica."""
+
+    def run_lookups(self, service, keys):
+        async def run():
+            async with service:
+                return await asyncio.gather(
+                    *(service.lookup(key) for key in keys),
+                    return_exceptions=True,
+                )
+
+        return asyncio.run(run())
+
+    def test_bad_key_does_not_fail_its_batch(self):
+        rng = make_rng(5)
+        stored = [int(k) for k in rng.choice(1 << 32, 50, replace=False)]
+        cluster = CaramCluster.build(1, index_bits=5, slots=8)
+        cluster.load([(key, key & 0xFFFF) for key in stored])
+        service = ShardedService(cluster, max_batch_size=64, max_delay=0.05)
+        outcomes = self.run_lookups(service, stored + [1 << 40])
+        assert isinstance(outcomes[-1], KeyFormatError)
+        assert [o.data for o in outcomes[:-1]] == [k & 0xFFFF for k in stored]
+        assert service.stats.batches == 1
+        assert service.stats.coalesced_keys == 50
+
+    def test_bad_keys_never_count_against_replicas(self):
+        records = make_records()
+        cluster = build_cluster(shard_count=1, records=records, replication=2)
+        service = ShardedService(cluster, max_batch_size=64, max_delay=0.01)
+        keys = [key for key, _ in records[:20]]
+        outcomes = self.run_lookups(service, keys + [1 << KEY_BITS, -1])
+        assert all(isinstance(o, KeyFormatError) for o in outcomes[-2:])
+        assert [o.data for o in outcomes[:-2]] == [
+            data for _, data in records[:20]
+        ]
+        for replica in cluster.replica_sets[0].replicas:
+            assert replica.state == ACTIVE
+            assert replica.errors == 0
